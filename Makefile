@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt verify-examples chaos fuzz cover check \
-	bench bench-smoke bench-churn bench-churn-smoke race-stress
+	bench bench-smoke bench-churn bench-churn-smoke race-stress bench-check
 
 all: build
 
@@ -110,4 +110,9 @@ race-stress:
 	$(GO) test -race -count=5 -run 'Stress|WorkerPool|FlowWorkerHash' \
 		./internal/flowtable/ ./internal/live/
 
-check: build fmt vet verify-examples race
+# perfbench is its own module (perfbench/go.mod), so the root ./... never
+# compiles it; this vets and tests it against the current sources.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build fmt vet verify-examples race bench-check

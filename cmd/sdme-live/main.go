@@ -61,7 +61,6 @@ func run() error {
 	traceOneIn := flag.Uint64("trace-one-in", 1, "runtime packet tracing sample rate (1 = every flow, 0 = off)")
 	hold := flag.Duration("hold", 0, "keep serving the metrics endpoint this long after the demo")
 	journalPath := flag.String("journal", "", "controller write-ahead journal: replayed on start if present, appended during the run (empty: disabled)")
-	twophase := flag.Bool("twophase", true, "push the initial plan with the epoch-fenced prepare/commit protocol")
 	peers := flag.Int("peers", 0, "controller replicas; >0 runs the replicated-HA takeover demo over real sockets instead of the single-controller demo")
 	workers := flag.Int("workers", 0, "dataplane workers per device (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 16, "flow/label table shards per device (local tuning, survives config pushes)")
@@ -220,29 +219,20 @@ func run() error {
 	// Push every node's configuration over the wire. The epoch-fenced
 	// prepare/commit batch guarantees the fleet never mixes plan
 	// generations: every node stages, then all flip atomically (a single
-	// refusal rolls the whole batch back). The plain path rides the same
-	// self-healing channel with per-node retries instead.
+	// refusal rolls the whole batch back).
 	pushPol := mgmt.RetryPolicy{Attempts: 3, PerAttempt: 3 * time.Second, Backoff: 50 * time.Millisecond}
-	if *twophase {
-		plans := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
-		for id, n := range nodes {
-			plans[id] = mgmt.ConfigToDTO(0, n.Config())
-		}
-		epoch, err := server.PushAll2PC(plans, pushPol)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nconfiguration committed on %d nodes via prepare/commit (epoch %d)\n",
-			len(nodes), epoch)
-	} else {
-		for id, n := range nodes {
-			if err := server.PushRetry(id, mgmt.ConfigToDTO(0, n.Config()), pushPol); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("\nconfiguration pushed to %d nodes over the management channel (epoch %d)\n",
-			len(nodes), server.Epoch())
+	weights := make(map[topo.NodeID]map[enforce.WeightKey][]float64, len(nodes))
+	plans := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
+	for id, n := range nodes {
+		weights[id] = n.Config().Weights
+		plans[id] = mgmt.ConfigToDTO(0, n.Config())
 	}
+	epoch, err := server.PushAll2PC(plans, pushPol)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nconfiguration committed on %d nodes via prepare/commit (epoch %d)\n",
+		len(nodes), epoch)
 	if j := ctl.Journal(); j != nil {
 		if err := j.LogEpoch(server.Epoch(), 0); err != nil {
 			return err
@@ -306,14 +296,21 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// The new weights roll out as weight-only deltas on the same
+	// prepare/commit path; applying them purges no flow soft state.
+	deltas := make(map[topo.NodeID]enforce.ConfigDelta)
 	for id := range nodes {
-		if err := server.PushRetry(id, mgmt.WeightsToDTO(0, sol.Weights[id]), pushPol); err != nil {
-			return err
+		if d := controller.DiffWeights(weights[id], sol.Weights[id]); !d.Empty() {
+			deltas[id] = d
 		}
+	}
+	epoch, err = server.PushAllDelta2PC(deltas, nil, pushPol)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("\n§III-C loop closed: proxies reported %d packets, controller solved λ=%.0f\n",
 		sum(snapshot), sol.Lambda)
-	fmt.Println("and pushed fresh LB weights over the management channel.")
+	fmt.Printf("and rolled fresh LB weights out to %d nodes as weight deltas (epoch %d).\n", len(deltas), epoch)
 	if j := ctl.Journal(); j != nil {
 		if err := j.LogEpoch(server.Epoch(), 0); err != nil {
 			return err

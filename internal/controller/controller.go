@@ -64,8 +64,6 @@ type Options struct {
 	LabelSwitching bool
 	// FlowTTL/LabelTTL are soft-state lifetimes (0 = no expiry).
 	FlowTTL, LabelTTL int64
-	// UseTrie selects trie classifiers at nodes.
-	UseTrie bool
 	// HashSeed seeds flow-hash selection.
 	HashSeed uint64
 	// FunctionFactory overrides middlebox function construction; nil
@@ -213,7 +211,6 @@ func (c *Controller) baseConfig(id topo.NodeID) enforce.Config {
 		LabelSwitching: c.opts.LabelSwitching,
 		FlowTTL:        c.opts.FlowTTL,
 		LabelTTL:       c.opts.LabelTTL,
-		UseTrie:        c.opts.UseTrie,
 	}
 }
 

@@ -129,6 +129,15 @@ func diffCandidates(old, cur map[policy.FuncType][]topo.NodeID, d *enforce.Confi
 	}
 }
 
+// DiffWeights is the delta that turns one node's weight vectors old into
+// cur: a pure weight change, which Node.ApplyDelta applies without
+// purging any soft state (the §III-C rebalance).
+func DiffWeights(old, cur map[enforce.WeightKey][]float64) enforce.ConfigDelta {
+	var d enforce.ConfigDelta
+	diffWeights(old, cur, &d, &DeltaStats{})
+	return d
+}
+
 func diffWeights(old, cur map[enforce.WeightKey][]float64, d *enforce.ConfigDelta, stats *DeltaStats) {
 	for _, k := range sortedWeightKeys(cur) {
 		vec := cur[k]

@@ -212,11 +212,14 @@ func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStat
 	}
 
 	// Scoped solve: clean instances keep their weights and charge their
-	// previous expected loads as base capacity consumption.
+	// previous expected loads as base capacity consumption. The loads are
+	// summed in plan.Order: float addition is not associative, so a map
+	// order would make the solve input, and every byte downstream of it,
+	// differ from run to run.
 	carriedW, carriedLoads := p.carryForward(plan, dirty)
 	base := make(map[topo.NodeID]float64)
-	for _, loads := range carriedLoads {
-		for x, l := range loads {
+	for _, k := range plan.Order {
+		for x, l := range carriedLoads[k] {
 			base[x] += l
 		}
 	}

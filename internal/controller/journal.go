@@ -496,9 +496,9 @@ func (c *Controller) Fingerprint() uint64 {
 	for _, p := range c.policies.All() {
 		put("p:%d/%d/%s/%s;", p.ID, p.Prio, p.Desc.String(), p.Actions.String())
 	}
-	put("o:%d/%d/%v/%v/%d/%d/%v/%d;", int(c.opts.Strategy), c.opts.KDefault,
+	put("o:%d/%d/%v/%v/%d/%d/%d;", int(c.opts.Strategy), c.opts.KDefault,
 		c.opts.CapLambda, c.opts.LabelSwitching, c.opts.FlowTTL, c.opts.LabelTTL,
-		c.opts.UseTrie, c.opts.HashSeed)
+		c.opts.HashSeed)
 	funcs := make([]int, 0, len(c.opts.K))
 	for f := range c.opts.K {
 		funcs = append(funcs, int(f))
@@ -558,7 +558,7 @@ func (c *Controller) journalWeights(sol *LBSolution) error {
 	for _, id := range ids {
 		r.Nodes = append(r.Nodes, NodeWeights{
 			Node: int(id),
-			Rows: mgmt.WeightsToDTO(0, sol.Weights[id]).Weights,
+			Rows: mgmt.ConfigToDTO(0, enforce.Config{Weights: sol.Weights[id]}).Weights,
 		})
 	}
 	return c.journal.Append(JournalWeights, r)
@@ -584,7 +584,7 @@ func (c *Controller) RestoreFromJournal(st *JournalState) error {
 
 // RestoredSolution rebuilds an LBSolution from replayed journal state
 // (nil if the journal recorded no weight plan), so the restart path can
-// reuse ApplyWeights and the weights-only push exactly like a live solve.
+// reuse ApplyWeights and the weight rollout exactly like a live solve.
 func (st *JournalState) RestoredSolution() *LBSolution {
 	if st.Weights == nil {
 		return nil

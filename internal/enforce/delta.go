@@ -187,15 +187,7 @@ func (n *Node) ApplyDelta(d ConfigDelta) error {
 		}
 		atomic.AddInt64(&n.Counters.Invalidated, int64(total))
 
-		if cfg.UseTrie {
-			n.classifier = policy.NewTrieClassifier(cfg.Policies)
-		} else {
-			tbl := policy.NewTable()
-			for _, p := range cfg.Policies {
-				tbl.AddPolicy(p)
-			}
-			n.classifier = tbl
-		}
+		n.classifier = newClassifier(cfg.Policies)
 	}
 
 	if len(d.SetCandidates) > 0 || len(d.DropCandidates) > 0 {

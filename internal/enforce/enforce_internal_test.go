@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdme/internal/netaddr"
+	"sdme/internal/policy"
 	"sdme/internal/topo"
 )
 
@@ -77,4 +78,71 @@ func TestStrategyString(t *testing.T) {
 	if Strategy(9).String() == "" {
 		t.Error("unknown strategy should render")
 	}
+}
+
+// Install and ApplyDelta build a node's classifier by P_x size — the
+// linear table below trieMinRules policies, the trie from it — and on
+// both sides of the crossover it answers exactly as Table.Match does.
+func TestClassifierSizeRuleMatchesTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	prefix := func() netaddr.Prefix {
+		bits := []int{0, 8, 16, 24}[rng.Intn(4)]
+		return netaddr.PrefixFrom(netaddr.Addr(10<<24|rng.Intn(4)<<16|rng.Intn(4)<<8), bits)
+	}
+	src := policy.NewTable()
+	for i := 0; i < trieMinRules+1; i++ {
+		d := policy.NewDescriptor()
+		d.Src, d.Dst = prefix(), prefix()
+		if rng.Intn(2) == 0 {
+			d.DstPort = netaddr.SinglePort(uint16(80 + rng.Intn(3)))
+		}
+		src.Add(d, policy.ActionList{policy.FuncFW})
+	}
+	all := src.All()
+
+	n := &Node{IsProxy: true}
+	check := func(step string, ps []*policy.Policy) {
+		t.Helper()
+		_, isTrie := n.classifier.(*policy.TrieClassifier)
+		if want := len(ps) >= trieMinRules; isTrie != want {
+			t.Fatalf("%s: %d policies built trie=%v, want %v", step, len(ps), isTrie, want)
+		}
+		ref := policy.NewTable()
+		for _, p := range ps {
+			ref.AddPolicy(p)
+		}
+		hits := 0
+		for probe := 0; probe < 2000; probe++ {
+			p := all[rng.Intn(len(all))]
+			ft := netaddr.FiveTuple{
+				Src: p.Desc.Src.Addr() + netaddr.Addr(rng.Intn(300)), Dst: p.Desc.Dst.Addr() + netaddr.Addr(rng.Intn(300)),
+				SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(79 + rng.Intn(4)), Proto: netaddr.ProtoTCP,
+			}
+			if got, want := n.classifier.Match(ft), ref.Match(ft); got != want {
+				t.Fatalf("%s: %v classified as %v, Table.Match gives %v", step, ft, got, want)
+			} else if got != nil {
+				hits++
+			}
+		}
+		if hits < 500 {
+			t.Fatalf("%s: only %d of 2000 probes matched a policy", step, hits)
+		}
+	}
+
+	if err := n.Install(Config{Policies: all[:trieMinRules-1]}); err != nil {
+		t.Fatal(err)
+	}
+	check("install below", all[:trieMinRules-1])
+	if err := n.ApplyDelta(ConfigDelta{Upserts: all[trieMinRules-1 : trieMinRules]}); err != nil {
+		t.Fatal(err)
+	}
+	check("delta up to the crossover", all[:trieMinRules])
+	if err := n.ApplyDelta(ConfigDelta{Removes: []int{all[0].ID, all[5].ID}}); err != nil {
+		t.Fatal(err)
+	}
+	check("delta back below", n.Config().Policies)
+	if err := n.Install(Config{Policies: all}); err != nil {
+		t.Fatal(err)
+	}
+	check("install above", all)
 }

@@ -42,8 +42,6 @@ type Config struct {
 	Counts map[policy.FuncType]int
 	// K is the candidate set size per function (defaults to §IV-A).
 	K map[policy.FuncType]int
-	// UseTrie selects trie classifiers in nodes (affects speed only).
-	UseTrie bool
 }
 
 func (c *Config) fill() {
@@ -130,7 +128,6 @@ func (b *Bed) RunStrategy(strategy enforce.Strategy, demands []enforce.FlowDeman
 		Strategy: strategy,
 		K:        b.Cfg.K,
 		HashSeed: uint64(b.Cfg.Seed)*2654435761 + uint64(strategy),
-		UseTrie:  b.Cfg.UseTrie,
 	})
 	nodes, err := ctl.BuildNodes()
 	if err != nil {

@@ -128,7 +128,6 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 		K:              b.Cfg.K,
 		HashSeed:       uint64(b.Cfg.Seed)*2654435761 + uint64(cfg.Strategy),
 		LabelSwitching: cfg.LabelSwitching,
-		UseTrie:        b.Cfg.UseTrie,
 	})
 	nodes, err := ctl.BuildNodes()
 	if err != nil {

@@ -324,12 +324,8 @@ func (a *Agent) dispatch(env *Envelope) {
 	switch env.T {
 	case TypeConfig:
 		a.handleConfig(env.Data)
-	case TypeDelta:
-		a.handleDelta(env.Data)
-	case TypePrepare:
-		a.handlePrepare(env.Data)
-	case TypePrepareDelta:
-		a.handlePrepareDelta(env.Data)
+	case TypePrepare, TypeDelta:
+		a.handlePrepare(env.T, env.Data)
 	case TypeCommit:
 		a.handleCommit(env.Data)
 	case TypeAbort:
@@ -466,35 +462,62 @@ func (a *Agent) fenceTerm(term uint64) string {
 	}
 }
 
-// handleConfig applies one pushed configuration and acks it.
-func (a *Agent) handleConfig(data []byte) {
-	var dto ConfigDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Error: "bad config: " + err.Error()})
-		return
+// planMsg is a decoded plan-carrying message: a full ConfigDTO (config,
+// prepare) or a DeltaDTO (delta).
+type planMsg interface {
+	Validate() error
+	header() (seq, epoch, term uint64)
+}
+
+func (d *ConfigDTO) header() (seq, epoch, term uint64) { return d.Seq, d.Epoch, d.Term }
+func (d *DeltaDTO) header() (seq, epoch, term uint64)  { return d.Seq, d.Epoch, d.Term }
+
+// admit is the one admission sequence every plan-carrying message passes
+// before it may be applied or staged: decode → Validate → term fence →
+// epoch idempotence → base check for deltas. It acks a refusal, or an
+// epoch already applied, itself and reports whether the plan may go on.
+// typ is the message's envelope tag; anything but a config is a prepare,
+// and its acks say so.
+func (a *Agent) admit(typ string, data []byte, msg planMsg) bool {
+	prepared := typ != TypeConfig
+	if err := json.Unmarshal(data, msg); err != nil {
+		seq, _, _ := msg.header()
+		_ = a.write(TypeAck, Ack{Seq: seq, Error: "bad " + typ + ": " + err.Error(), Prepared: prepared})
+		return false
 	}
-	// Trust boundary: nothing from the wire reaches the device before
-	// Validate passes (enforced by the wiretaint analyzer). An invalid
-	// push is refused whole via an error Ack, never half-applied.
-	if err := dto.Validate(); err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: err.Error()})
-		return
-	}
-	// Term fencing comes BEFORE epoch idempotence: a deposed leader
-	// re-pushing an old epoch must be refused, not idempotently acked.
-	if reason := a.fenceTerm(dto.Term); reason != "" {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Term: a.term.Load(), Error: reason})
-		return
-	}
-	// Epoch idempotence: a plan the device already runs (a reconnect
-	// re-push racing an earlier delivery) is acked without
-	// re-applying — at-most-once application per epoch.
-	if dto.Epoch != 0 && dto.Epoch <= a.epoch.Load() {
+	seq, epoch, term := msg.header()
+	ack := Ack{Seq: seq, Epoch: epoch, Prepared: prepared}
+	if err := msg.Validate(); err != nil {
+		// Trust boundary: nothing from the wire reaches the device before
+		// Validate passes (enforced by the wiretaint analyzer). An invalid
+		// plan is refused whole via an error Ack, never half-applied.
+		ack.Error = err.Error()
+	} else if reason := a.fenceTerm(term); reason != "" {
+		// Term fencing comes BEFORE epoch idempotence: a deposed leader
+		// re-pushing an old epoch must be refused, not idempotently acked.
+		ack.Error, ack.Term = reason, a.term.Load()
+	} else if cur := a.epoch.Load(); epoch != 0 && epoch <= cur {
+		// Epoch idempotence: a plan the device already runs (a reconnect
+		// re-push racing an earlier delivery) is acked without being
+		// applied or staged again — at-most-once application per epoch.
 		a.stale.Add(1)
 		if a.am != nil {
 			a.am.epochRejects.Inc()
 		}
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch})
+	} else if d, ok := msg.(*DeltaDTO); ok && d.BaseEpoch != cur {
+		ack.Error = baseMismatch(cur, d.BaseEpoch)
+	} else {
+		return true
+	}
+	_ = a.write(TypeAck, ack)
+	return false
+}
+
+// handleConfig applies one pushed full configuration and acks it: the
+// single-node push and the reconnect catch-up.
+func (a *Agent) handleConfig(data []byte) {
+	var dto ConfigDTO
+	if !a.admit(TypeConfig, data, &dto) {
 		return
 	}
 	errStr := a.applyDTO(dto)

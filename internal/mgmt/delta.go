@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 
@@ -26,6 +27,12 @@ const RefuseDeltaBase = "delta base mismatch"
 // so there is nothing a delta could edit; the caller must push (or
 // supply as fallback) a full configuration instead.
 var ErrNoBase = errors.New("no full base config recorded for delta")
+
+// baseMismatch is an agent's refusal reason for a delta whose base is
+// not the applied epoch.
+func baseMismatch(applied, base uint64) string {
+	return fmt.Sprintf("%s: applied epoch %d, delta base %d", RefuseDeltaBase, applied, base)
+}
 
 // IsBaseMismatch reports whether err is an agent's base-epoch refusal of
 // a delta push — the one refusal that is not fatal, because re-sending

@@ -16,10 +16,10 @@ import (
 
 // The delta rollout's two safety rules are protocol behavior, so they
 // are tested at the wire level with a scripted peer standing in for the
-// agent: base fencing (a refused delta degrades to a full push of the
-// merged configuration at the same epoch) and merge-at-store (reconnect
-// catch-up always re-pushes a full merged configuration, never a delta
-// chain, no matter how many delta epochs a node missed).
+// agent: base fencing (a refused delta prepare degrades to a prepare of
+// the merged full configuration at the same epoch) and merge-at-store
+// (reconnect catch-up always re-pushes a full merged configuration,
+// never a delta chain).
 
 const fakeNode = topo.NodeID(7)
 
@@ -41,19 +41,19 @@ func dialFake(t *testing.T, addr string, epoch uint64) net.Conn {
 	return conn
 }
 
-// serveScript answers every envelope with handle's ack and records the
-// envelope types seen, until the connection closes.
+// serveScript records every envelope and answers it with handle's ack,
+// until the connection closes. Recording comes first, so an envelope is
+// on seen before the server can observe its ack (or the conn dying).
 func serveScript(t *testing.T, conn net.Conn, seen chan<- *Envelope, handle func(env *Envelope) Ack) {
 	for {
 		env, err := readMsg(conn)
 		if err != nil {
 			return
 		}
-		ack := handle(env)
-		if err := writeMsg(conn, TypeAck, ack); err != nil {
+		seen <- env
+		if err := writeMsg(conn, TypeAck, handle(env)); err != nil {
 			return
 		}
-		seen <- env
 	}
 }
 
@@ -69,19 +69,36 @@ func seqEpochOf(t *testing.T, env *Envelope) (uint64, uint64) {
 	return hdr.Seq, hdr.Epoch
 }
 
-func TestPushDeltaRequiresFullBase(t *testing.T) {
+// ackAll is the script of an agent that stages and commits everything.
+func ackAll(t *testing.T) func(env *Envelope) Ack {
+	return func(env *Envelope) Ack {
+		seq, epoch := seqEpochOf(t, env)
+		return Ack{Seq: seq, Epoch: epoch, Prepared: env.T == TypePrepare || env.T == TypeDelta}
+	}
+}
+
+func drain(seen <-chan *Envelope) []*Envelope {
+	var out []*Envelope
+	for len(seen) > 0 {
+		out = append(out, <-seen)
+	}
+	return out
+}
+
+func TestDelta2PCRequiresFullBase(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	err = srv.PushDelta(fakeNode, seedDelta(), RetryPolicy{Attempts: 1, PerAttempt: time.Second})
+	_, err = srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{fakeNode: seedDelta()}, nil,
+		RetryPolicy{Attempts: 1, PerAttempt: time.Second})
 	if !errors.Is(err, ErrNoBase) {
-		t.Fatalf("delta push without a recorded base: err = %v, want ErrNoBase", err)
+		t.Fatalf("delta rollout without a recorded base or fallback: err = %v, want ErrNoBase", err)
 	}
 }
 
-func TestPushDeltaBaseMismatchFallsBackToFull(t *testing.T) {
+func TestDelta2PCBaseMismatchFallsBackToFull(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -93,14 +110,15 @@ func TestPushDeltaBaseMismatchFallsBackToFull(t *testing.T) {
 	conn := dialFake(t, srv.Addr(), 0)
 	defer conn.Close()
 	seen := make(chan *Envelope, 16)
+	ack := ackAll(t)
 	go serveScript(t, conn, seen, func(env *Envelope) Ack {
-		seq, epoch := seqEpochOf(t, env)
 		if env.T == TypeDelta {
 			// Script the race the fallback exists for: the agent reports
 			// an applied epoch other than the delta's base.
-			return Ack{Seq: seq, Epoch: epoch, Error: RefuseDeltaBase + ": applied epoch 9, delta base 1"}
+			seq, epoch := seqEpochOf(t, env)
+			return Ack{Seq: seq, Epoch: epoch, Prepared: true, Error: RefuseDeltaBase + ": applied epoch 9, delta base 1"}
 		}
-		return Ack{Seq: seq, Epoch: epoch}
+		return ack(env)
 	})
 	if !srv.WaitConnected(3*time.Second, fakeNode) {
 		t.Fatal("fake agent not registered")
@@ -110,17 +128,20 @@ func TestPushDeltaBaseMismatchFallsBackToFull(t *testing.T) {
 	if err := srv.PushRetry(fakeNode, ConfigToDTO(0, seedConfig()), pol); err != nil {
 		t.Fatalf("full push: %v", err)
 	}
-	if err := srv.PushDelta(fakeNode, seedDelta(), pol); err != nil {
-		t.Fatalf("delta push should fall back to full, got %v", err)
+	epoch, err := srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{fakeNode: seedDelta()}, nil, pol)
+	if err != nil {
+		t.Fatalf("delta rollout should fall back to a full prepare, got %v", err)
+	}
+	if epoch != 2 {
+		t.Fatalf("rollout epoch = %d, want 2", epoch)
 	}
 
+	envs := drain(seen)
 	var types []string
-	var last *Envelope
-	for len(seen) > 0 {
-		last = <-seen
-		types = append(types, last.T)
+	for _, env := range envs {
+		types = append(types, env.T)
 	}
-	want := []string{TypeConfig, TypeDelta, TypeConfig}
+	want := []string{TypeConfig, TypeDelta, TypePrepare, TypeCommit}
 	if strings.Join(types, ",") != strings.Join(want, ",") {
 		t.Fatalf("wire sequence = %v, want %v", types, want)
 	}
@@ -128,11 +149,11 @@ func TestPushDeltaBaseMismatchFallsBackToFull(t *testing.T) {
 	// epoch: the seed delta removes policy 2, so the merged config must
 	// not carry it.
 	var dto ConfigDTO
-	if err := json.Unmarshal(last.Data, &dto); err != nil {
+	if err := json.Unmarshal(envs[2].Data, &dto); err != nil {
 		t.Fatal(err)
 	}
-	if dto.Epoch != 2 {
-		t.Errorf("fallback epoch = %d, want the delta's epoch 2", dto.Epoch)
+	if dto.Epoch != epoch {
+		t.Errorf("fallback epoch = %d, want the delta's epoch %d", dto.Epoch, epoch)
 	}
 	for _, p := range dto.Policies {
 		if p.ID == 2 {
@@ -148,6 +169,9 @@ func TestPushDeltaBaseMismatchFallsBackToFull(t *testing.T) {
 	if reg.Counter(MetricPushBytesFull).Value() == 0 {
 		t.Errorf("%s not counted", MetricPushBytesFull)
 	}
+	if !srv.Converged(fakeNode) {
+		t.Error("server not converged after the fallback commit")
+	}
 }
 
 func TestDeltaReconnectCatchupPushesMergedFull(t *testing.T) {
@@ -159,9 +183,14 @@ func TestDeltaReconnectCatchupPushesMergedFull(t *testing.T) {
 
 	conn := dialFake(t, srv.Addr(), 0)
 	seen := make(chan *Envelope, 16)
+	ack := ackAll(t)
+	// The agent commits the first delta epoch (2), stages the second (3)
+	// and dies before its commit.
 	go serveScript(t, conn, seen, func(env *Envelope) Ack {
-		seq, epoch := seqEpochOf(t, env)
-		return Ack{Seq: seq, Epoch: epoch}
+		if _, epoch := seqEpochOf(t, env); env.T == TypeCommit && epoch == 3 {
+			_ = conn.Close()
+		}
+		return ack(env)
 	})
 	if !srv.WaitConnected(3*time.Second, fakeNode) {
 		t.Fatal("fake agent not registered")
@@ -170,33 +199,25 @@ func TestDeltaReconnectCatchupPushesMergedFull(t *testing.T) {
 	if err := srv.PushRetry(fakeNode, ConfigToDTO(0, seedConfig()), pol); err != nil {
 		t.Fatalf("full push: %v", err)
 	}
-	<-seen // the config envelope
-
-	// The node goes dark; two delta epochs are minted against it and both
-	// fail on the wire. Merge-at-store still advanced the recorded latest
-	// plan to the merged full configuration each time.
-	_ = conn.Close()
-	short := RetryPolicy{Attempts: 1, PerAttempt: 200 * time.Millisecond}
 	d1 := enforce.ConfigDelta{Removes: []int{2}}
 	d2 := enforce.ConfigDelta{SetWeights: map[enforce.WeightKey][]float64{
 		{PolicyID: 1, Func: policy.FuncFW}: {0.25, 0.75},
 	}}
-	if err := srv.PushDelta(fakeNode, d1, short); err == nil {
-		t.Fatal("delta push to a dark node should fail")
+	if _, err := srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{fakeNode: d1}, nil, pol); err != nil {
+		t.Fatalf("first delta rollout: %v", err)
 	}
-	if err := srv.PushDelta(fakeNode, d2, short); err == nil {
-		t.Fatal("delta push to a dark node should fail")
+	if _, err := srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{fakeNode: d2}, nil, pol); err == nil {
+		t.Fatal("a rollout whose commit never reaches the node should report the straggler")
 	}
+	drain(seen)
 
-	// Reconnect reporting the last applied epoch (1). Catch-up must send
-	// ONE full config at the newest epoch with both deltas folded in — a
-	// node is never asked to replay a delta chain.
-	conn2 := dialFake(t, srv.Addr(), 1)
+	// Reconnect reporting the last applied epoch (2). The commit decision
+	// recorded the merged full configuration, so catch-up must send ONE
+	// full config at epoch 3 with both deltas folded in — a node is never
+	// asked to replay a delta chain.
+	conn2 := dialFake(t, srv.Addr(), 2)
 	defer conn2.Close()
-	go serveScript(t, conn2, seen, func(env *Envelope) Ack {
-		seq, epoch := seqEpochOf(t, env)
-		return Ack{Seq: seq, Epoch: epoch}
-	})
+	go serveScript(t, conn2, seen, ack)
 	var env *Envelope
 	select {
 	case env = <-seen:
@@ -211,7 +232,7 @@ func TestDeltaReconnectCatchupPushesMergedFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dto.Epoch != 3 {
-		t.Errorf("catch-up epoch = %d, want 3 (both delta epochs folded)", dto.Epoch)
+		t.Errorf("catch-up epoch = %d, want 3", dto.Epoch)
 	}
 	for _, p := range dto.Policies {
 		if p.ID == 2 {
@@ -226,5 +247,10 @@ func TestDeltaReconnectCatchupPushesMergedFull(t *testing.T) {
 	}
 	if len(w) != 2 || w[0] != 0.25 || w[1] != 0.75 {
 		t.Errorf("catch-up config missing the second delta's weights: %v", w)
+	}
+	select {
+	case extra := <-seen:
+		t.Errorf("catch-up sent a second message %s", extra.T)
+	case <-time.After(100 * time.Millisecond):
 	}
 }

@@ -40,7 +40,6 @@ func TestConfigDTORoundTrip(t *testing.T) {
 		LabelSwitching: true,
 		FlowTTL:        12345,
 		LabelTTL:       67890,
-		UseTrie:        true,
 	}
 	back, err := mgmt.ConfigFromDTO(mgmt.ConfigToDTO(7, cfg))
 	if err != nil {
@@ -48,8 +47,7 @@ func TestConfigDTORoundTrip(t *testing.T) {
 	}
 	if back.Strategy != cfg.Strategy || back.HashSeed != cfg.HashSeed ||
 		back.LabelSwitching != cfg.LabelSwitching ||
-		back.FlowTTL != cfg.FlowTTL || back.LabelTTL != cfg.LabelTTL ||
-		back.UseTrie != cfg.UseTrie {
+		back.FlowTTL != cfg.FlowTTL || back.LabelTTL != cfg.LabelTTL {
 		t.Errorf("scalar fields lost: %+v", back)
 	}
 	if len(back.Policies) != 1 {
@@ -237,7 +235,7 @@ func TestMeasurementReportingAndRebalanceOverWire(t *testing.T) {
 	}
 
 	// Close the §III-C loop: solve LB from the REPORTED measurements and
-	// push weights-only updates back over the wire.
+	// roll weight-only deltas back out over the wire.
 	b.measMu.Lock()
 	meas := make(controller.Measurements, len(b.meas))
 	for k, v := range b.meas {
@@ -248,13 +246,25 @@ func TestMeasurementReportingAndRebalanceOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range b.nodes {
-		w := sol.Weights[id]
-		if err := b.server.Push(id, mgmt.WeightsToDTO(0, w), 3*time.Second); err != nil {
-			t.Fatalf("weights push to %v: %v", id, err)
+	deltas := make(map[topo.NodeID]enforce.ConfigDelta)
+	for id, n := range b.nodes {
+		if d := controller.DiffWeights(n.Config().Weights, sol.Weights[id]); !d.Empty() {
+			deltas[id] = d
 		}
 	}
-	// Weight-only pushes preserve soft state: the proxy's flow table
+	if len(deltas) == 0 {
+		t.Fatal("rebalance produced no weight change to roll out")
+	}
+	epoch, err := b.server.PushAllDelta2PC(deltas, nil, mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
+	if err != nil {
+		t.Fatalf("weight delta rollout: %v", err)
+	}
+	for id := range deltas {
+		if got := b.agents[id].Stats().DeltaApplies; got != 1 {
+			t.Errorf("node %v: %d delta applies at epoch %d, want 1", id, got, epoch)
+		}
+	}
+	// Weight-only deltas preserve soft state: the proxy's flow table
 	// still has the 10 flows.
 	proxyDev := b.devices[proxyID]
 	var flows int

@@ -87,11 +87,11 @@ func (s *Server) smInc(sel func(*serverMetrics) *metrics.Counter) {
 }
 
 // observePushBytes records one push's encoded envelope size under the
-// full or delta byte counter. The payload is encoded with its pre-seq
-// value (seq is assigned per attempt and adds a handful of digits the
-// full-vs-delta comparison does not care about); nothing is encoded when
-// no registry is attached.
-func (s *Server) observePushBytes(typ string, v interface{}, delta bool) {
+// delta byte counter for TypeDelta and the full one otherwise. The
+// payload is encoded with its pre-seq value (seq is assigned per attempt
+// and adds a handful of digits the full-vs-delta comparison does not
+// care about); nothing is encoded when no registry is attached.
+func (s *Server) observePushBytes(typ string, v interface{}) {
 	m := s.sm.Load()
 	if m == nil {
 		return
@@ -100,7 +100,7 @@ func (s *Server) observePushBytes(typ string, v interface{}, delta bool) {
 	if err != nil {
 		return
 	}
-	if delta {
+	if typ == TypeDelta {
 		m.bytesDelta.Add(int64(len(buf)))
 	} else {
 		m.bytesFull.Add(int64(len(buf)))

@@ -355,7 +355,7 @@ func (s *Server) PushRetry(node topo.NodeID, dto ConfigDTO, pol RetryPolicy) err
 	s.storeLatestLocked(node, dto)
 	s.mu.Unlock()
 	s.smInc(func(m *serverMetrics) *metrics.Counter { return m.pushes })
-	s.observePushBytes(TypeConfig, dto, false)
+	s.observePushBytes(TypeConfig, dto)
 	return s.callRetry(node, TypeConfig, func(seq uint64) interface{} {
 		dto.Seq = seq
 		return dto
@@ -395,20 +395,10 @@ func (s *Server) callRetry(node topo.NodeID, typ string, mk func(seq uint64) int
 	return lastErr
 }
 
-// storeLatestLocked records dto as the node's latest intended plan. A
-// weights-only push merges into the stored full config (re-pushing it
-// later must carry the current weights, not the stale ones).
+// storeLatestLocked records dto, a full configuration, as the node's
+// latest intended plan: the one the reconnect catch-up re-pushes.
 func (s *Server) storeLatestLocked(node topo.NodeID, dto ConfigDTO) {
 	dto.Seq = 0
-	if dto.WeightsOnly {
-		if full, ok := s.latest[node]; ok && !full.WeightsOnly {
-			full.Weights = dto.Weights
-			full.Epoch = dto.Epoch
-			full.Term = dto.Term
-			s.latest[node] = full
-			return
-		}
-	}
 	s.latest[node] = dto
 }
 

@@ -207,7 +207,10 @@ func TestTwoPhaseFleetPlanConsistency(t *testing.T) {
 func TestTwoPhaseCommitStragglerHealsViaReconnect(t *testing.T) {
 	b := newMgmtBed(t, 0)
 	pol := mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second}
-	base, err := b.server.PushAll2PC(b.plansFor(), pol)
+	// Snapshot the plans once: after the rejoin, the reconnect re-push
+	// installs on the node concurrently with this goroutine.
+	plans := b.plansFor()
+	base, err := b.server.PushAll2PC(plans, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +222,7 @@ func TestTwoPhaseCommitStragglerHealsViaReconnect(t *testing.T) {
 	delete(b.agents, node)
 	b.server.DropConn(node)
 
-	if _, err := b.server.PushAll2PC(b.plansFor(), mgmt.RetryPolicy{Attempts: 1, PerAttempt: time.Second}); err == nil {
+	if _, err := b.server.PushAll2PC(plans, mgmt.RetryPolicy{Attempts: 1, PerAttempt: time.Second}); err == nil {
 		t.Fatal("2pc committed with a dead member")
 	}
 	for id, a := range b.agents {
@@ -237,7 +240,7 @@ func TestTwoPhaseCommitStragglerHealsViaReconnect(t *testing.T) {
 	if !b.server.WaitConnected(3*time.Second, node) {
 		t.Fatal("agent did not rejoin")
 	}
-	next, err := b.server.PushAll2PC(b.plansFor(), pol)
+	next, err := b.server.PushAll2PC(plans, pol)
 	if err != nil {
 		t.Fatalf("2pc after rejoin: %v", err)
 	}

@@ -41,23 +41,22 @@ const (
 	// it, a push racing a reconnect can land on the dying predecessor
 	// connection.
 	TypeHelloAck = "hello-ack"
-	TypeConfig   = "config"
-	TypeAck      = "ack"
-	TypeMeasure  = "measure"
-	// TypePrepare / TypeCommit / TypeAbort are the epoch-fenced two-phase
-	// rollout (twophase.go): prepare carries a ConfigDTO the agent stages
-	// without applying; commit atomically flips the node to the staged
-	// plan; abort discards it after a prepare-quorum failure.
+	// TypeConfig carries a full ConfigDTO the agent applies at once: a
+	// single-node push and the reconnect catch-up.
+	TypeConfig  = "config"
+	TypeAck     = "ack"
+	TypeMeasure = "measure"
+	// TypePrepare / TypeDelta / TypeCommit / TypeAbort are the
+	// epoch-fenced two-phase rollout (twophase.go): prepare carries a
+	// ConfigDTO and delta a DeltaDTO — the incremental pipeline's per-node
+	// edit script — which the agent stages without applying; commit
+	// atomically flips the node to the staged plan (a delta is applied in
+	// place, without reinstalling the untouched parts of the
+	// configuration); abort discards it after a prepare-quorum failure.
 	TypePrepare = "prepare"
+	TypeDelta   = "delta"
 	TypeCommit  = "commit"
 	TypeAbort   = "abort"
-	// TypeDelta carries a DeltaDTO — the incremental pipeline's per-node
-	// edit script, applied in place by the agent without reinstalling the
-	// untouched parts of the configuration. TypePrepareDelta is the same
-	// payload staged under the two-phase rollout: commit/abort reuse
-	// TypeCommit/TypeAbort unchanged.
-	TypeDelta        = "delta"
-	TypePrepareDelta = "prepare-delta"
 	// TypeLeaseRequest / TypeLeaseGrant / TypeHeartbeat are the
 	// controller-replica election protocol (internal/controller/election.go):
 	// a candidate asks its peers for a term-scoped lease, peers grant at
@@ -140,13 +139,9 @@ type ConfigDTO struct {
 	LabelSwitching bool           `json:"label_switching"`
 	FlowTTL        int64          `json:"flow_ttl"`
 	LabelTTL       int64          `json:"label_ttl"`
-	UseTrie        bool           `json:"use_trie"`
 	Policies       []PolicyDTO    `json:"policies"`
 	Candidates     []CandidateDTO `json:"candidates"`
 	Weights        []WeightDTO    `json:"weights,omitempty"`
-	// WeightsOnly applies only the weight vectors, preserving tables and
-	// soft state (the §III-C periodic rebalance).
-	WeightsOnly bool `json:"weights_only,omitempty"`
 }
 
 // Ack confirms (or refuses) a config push. Epoch echoes the config's
@@ -348,7 +343,6 @@ func ConfigToDTO(seq uint64, cfg enforce.Config) ConfigDTO {
 		LabelSwitching: cfg.LabelSwitching,
 		FlowTTL:        cfg.FlowTTL,
 		LabelTTL:       cfg.LabelTTL,
-		UseTrie:        cfg.UseTrie,
 	}
 	for _, p := range cfg.Policies {
 		dto.Policies = append(dto.Policies, policyToDTO(p))
@@ -376,11 +370,6 @@ func weightsToDTO(w map[enforce.WeightKey][]float64) []WeightDTO {
 	return out
 }
 
-// WeightsToDTO serializes a solved weight map for a weights-only push.
-func WeightsToDTO(seq uint64, w map[enforce.WeightKey][]float64) ConfigDTO {
-	return ConfigDTO{Seq: seq, WeightsOnly: true, Weights: weightsToDTO(w)}
-}
-
 // ConfigFromDTO reconstructs an enforce.Config from the wire form.
 func ConfigFromDTO(dto ConfigDTO) (enforce.Config, error) {
 	cfg := enforce.Config{
@@ -389,7 +378,6 @@ func ConfigFromDTO(dto ConfigDTO) (enforce.Config, error) {
 		LabelSwitching: dto.LabelSwitching,
 		FlowTTL:        dto.FlowTTL,
 		LabelTTL:       dto.LabelTTL,
-		UseTrie:        dto.UseTrie,
 	}
 	for _, pd := range dto.Policies {
 		cfg.Policies = append(cfg.Policies, policyFromDTO(pd))

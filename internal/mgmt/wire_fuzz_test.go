@@ -53,7 +53,7 @@ func FuzzWire(f *testing.F) {
 	f.Add(frame(f, TypeHello, Hello{NodeID: 3, Name: "proxy-edge1", Proxy: true, Epoch: 2}))
 	f.Add(frame(f, TypeHelloAck, Hello{NodeID: 3}))
 	f.Add(frame(f, TypeConfig, ConfigToDTO(9, seedConfig())))
-	f.Add(frame(f, TypeConfig, WeightsToDTO(10, seedConfig().Weights)))
+	f.Add(frame(f, TypeDelta, DeltaToDTO(10, seedDelta())))
 	f.Add(frame(f, TypeAck, Ack{Seq: 9, Epoch: 4, Error: "refused: stale epoch"}))
 	f.Add(frame(f, TypeMeasure, Measure{NodeID: 3, Rows: []MeasureRow{
 		{PolicyID: 1, SrcSubnet: 1, DstSubnet: 2, Packets: 41},
@@ -105,9 +105,11 @@ func FuzzWire(f *testing.F) {
 // canonicalize — e.g. prefixes drop host bits — but canonical forms
 // must be stable.)
 func FuzzConfigDTO(f *testing.F) {
+	delta := seedDelta()
 	for _, dto := range []ConfigDTO{
 		ConfigToDTO(1, seedConfig()),
-		WeightsToDTO(2, seedConfig().Weights),
+		// The merged full configuration a delta rollout stores as latest.
+		ConfigToDTO(2, delta.ApplyToConfig(seedConfig())),
 		{Seq: 3, Policies: []PolicyDTO{{ID: 1, SrcAddr: 0x0a000001, SrcBits: 8, Actions: []int{1, 2}}}},
 	} {
 		b, err := json.Marshal(dto)

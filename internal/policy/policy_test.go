@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -346,5 +347,111 @@ func BenchmarkTrieMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trie.Match(ft)
+	}
+}
+
+// Rule shapes for BenchmarkClassifierCrossover, after the benchmark
+// bed's: paper rules are the §IV-A policy classes (a /16 subnet or a
+// wildcard on each side, one destination port); tenant rules are
+// source /24 × destination port range × protocol. Subnet i is 10.i.0.0/16.
+func subnet16(i int) netaddr.Prefix {
+	return netaddr.PrefixFrom(netaddr.MustParseAddr("10.0.0.0")+netaddr.Addr(i<<16), 16)
+}
+
+func addPaperRule(rng *rand.Rand, tbl *Table, i int) {
+	services := []uint16{22, 25, 53, 443, 3306, 8080}
+	d := NewDescriptor()
+	switch i % 3 {
+	case 0: // many-to-one
+		d.Dst = subnet16(1 + rng.Intn(10))
+		d.DstPort = netaddr.SinglePort(services[rng.Intn(len(services))])
+	case 1: // one-to-many web
+		d.Src = subnet16(1 + rng.Intn(10))
+		d.DstPort = netaddr.SinglePort(80)
+	default: // one-to-one
+		d.Src, d.Dst = subnet16(1+rng.Intn(10)), subnet16(1+rng.Intn(10))
+		d.DstPort = netaddr.SinglePort(services[rng.Intn(len(services))])
+	}
+	tbl.Add(d, ActionList{FuncFW, FuncIDS})
+}
+
+func addTenantRule(rng *rand.Rand, tbl *Table, i int) {
+	d := NewDescriptor()
+	d.Src = netaddr.PrefixFrom(subnet16(1).Addr()+netaddr.Addr(256*(1+i/5)), 24)
+	lo := 1024 + rng.Intn(60000)
+	d.DstPort = netaddr.PortRange{Lo: uint16(lo), Hi: uint16(min(lo+16<<rng.Intn(6), 65535))}
+	d.Proto = netaddr.ProtoTCP
+	if rng.Intn(2) == 0 {
+		d.Proto = netaddr.ProtoUDP
+	}
+	tbl.Add(d, ActionList{FuncFW, FuncIDS})
+}
+
+// hostIn picks an address inside p (anywhere in the ten subnets for a
+// wildcard).
+func hostIn(rng *rand.Rand, p netaddr.Prefix) netaddr.Addr {
+	if p.Bits() == 0 {
+		return subnet16(1+rng.Intn(10)).Addr() + netaddr.Addr(1+rng.Intn(1<<16-2))
+	}
+	return p.Addr() + netaddr.Addr(1+rng.Intn(1<<(32-p.Bits())-2))
+}
+
+// crossoverRules builds an n-rule table of the given shape ("paper",
+// "tenant", or "mixed": up to 30 paper rules ahead of tenant rules, as
+// a proxy's P_x is laid out) and 1024 probes, each derived from a random
+// rule; one in five is moved outside every rule's source /24 and port.
+func crossoverRules(rng *rand.Rand, shape string, n int) (*Table, []netaddr.FiveTuple) {
+	tbl := NewTable()
+	for i := 0; i < n; i++ {
+		switch {
+		case shape == "paper" || shape == "mixed" && i < 30:
+			addPaperRule(rng, tbl, i)
+		default:
+			addTenantRule(rng, tbl, i)
+		}
+	}
+	probes := make([]netaddr.FiveTuple, 1024)
+	for i := range probes {
+		p := tbl.All()[rng.Intn(n)]
+		ft := netaddr.FiveTuple{
+			Src:     hostIn(rng, p.Desc.Src),
+			Dst:     hostIn(rng, p.Desc.Dst),
+			SrcPort: uint16(1024 + rng.Intn(60000)),
+			DstPort: p.Desc.DstPort.Lo,
+			Proto:   netaddr.ProtoTCP,
+		}
+		if p.Desc.Proto != 0 {
+			ft.Proto = p.Desc.Proto
+		}
+		if i%5 == 0 {
+			ft.Src = subnet16(11).Addr() + 1
+			ft.DstPort = 1
+		}
+		probes[i] = ft
+	}
+	return tbl, probes
+}
+
+// matchSink keeps the compiler from discarding benchmarked lookups.
+var matchSink *Policy
+
+// BenchmarkClassifierCrossover measures linear-table and trie lookups
+// over rule sets of growing size and three shapes; enforce's classifier
+// size rule (trieMinRules) takes its constant from where they cross.
+func BenchmarkClassifierCrossover(b *testing.B) {
+	for _, shape := range []string{"paper", "tenant", "mixed"} {
+		for _, n := range []int{10, 20, 30, 40, 50, 60, 70, 80, 110, 250, 1000} {
+			tbl, probes := crossoverRules(rand.New(rand.NewSource(int64(n))), shape, n)
+			for _, c := range []struct {
+				name string
+				cl   Classifier
+			}{{"linear", tbl}, {"trie", NewTrieClassifier(tbl.All())}} {
+				b.Run(fmt.Sprintf("%s/rules=%d/%s", shape, n, c.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						matchSink = c.cl.Match(probes[i&(len(probes)-1)])
+					}
+				})
+			}
+		}
 	}
 }

@@ -116,7 +116,7 @@ func CheckDeltaEquivalence(applied, full map[topo.NodeID]enforce.Config) []Viola
 			continue
 		}
 		if a.Strategy != b.Strategy || a.HashSeed != b.HashSeed ||
-			a.LabelSwitching != b.LabelSwitching || a.UseTrie != b.UseTrie ||
+			a.LabelSwitching != b.LabelSwitching ||
 			a.FlowTTL != b.FlowTTL || a.LabelTTL != b.LabelTTL {
 			report(id, -1, 0, "strategy/flags differ: applied=%+v full=%+v",
 				configFlags(a), configFlags(b))
@@ -132,13 +132,12 @@ type flagTuple struct {
 	Strategy       enforce.Strategy
 	HashSeed       uint64
 	LabelSwitching bool
-	UseTrie        bool
 	FlowTTL        int64
 	LabelTTL       int64
 }
 
 func configFlags(c enforce.Config) flagTuple {
-	return flagTuple{c.Strategy, c.HashSeed, c.LabelSwitching, c.UseTrie, c.FlowTTL, c.LabelTTL}
+	return flagTuple{c.Strategy, c.HashSeed, c.LabelSwitching, c.FlowTTL, c.LabelTTL}
 }
 
 type reportFunc func(node topo.NodeID, policyID int, f policy.FuncType, format string, args ...interface{})

@@ -89,8 +89,6 @@ type Config struct {
 	// FlowTTL / LabelTTL bound soft state (microseconds of virtual or
 	// wall time; 0 = never expire).
 	FlowTTL, LabelTTL int64
-	// UseTrie selects the trie classifier on nodes.
-	UseTrie bool
 	// HashSeed decorrelates flow-hash selection across runs.
 	HashSeed uint64
 }
@@ -256,7 +254,6 @@ func (s *System) Deploy(strategy Strategy) error {
 		LabelSwitching: s.cfg.LabelSwitching,
 		FlowTTL:        s.cfg.FlowTTL,
 		LabelTTL:       s.cfg.LabelTTL,
-		UseTrie:        s.cfg.UseTrie,
 		HashSeed:       s.cfg.HashSeed,
 	})
 	nodes, err := s.ctl.BuildNodes()
