@@ -4,7 +4,8 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt verify-examples chaos fuzz cover check \
-	bench bench-smoke bench-churn bench-churn-smoke race-stress bench-check
+	bench bench-smoke bench-churn bench-churn-smoke race-stress bench-check \
+	bench-lp
 
 all: build
 
@@ -109,6 +110,12 @@ bench-churn-smoke:
 race-stress:
 	$(GO) test -race -count=5 -run 'Stress|WorkerPool|FlowWorkerHash' \
 		./internal/flowtable/ ./internal/live/
+
+# One pass of the LP benchmarks on the real campus/Waxman Eq. (1)/(2)
+# instances, so they keep compiling and running; add -benchtime/-count
+# for numbers worth comparing.
+bench-lp:
+	$(GO) test ./internal/controller/ -run '^$$' -bench SolveLB -benchtime 1x
 
 # perfbench is its own module (perfbench/go.mod), so the root ./... never
 # compiles it; this vets and tests it against the current sources.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,30 +14,42 @@ import (
 
 // The incremental pipeline's output must be a deterministic function of
 // its inputs: replaying one seeded churn sequence must encode
-// byte-identical deltas every time, or pushed-byte figures (and the
-// fleet's configurations) depend on luck.
+// byte-identical deltas and configuration exports every time, or
+// pushed-byte figures (and the fleet's configurations) depend on luck.
+// No exported weight may be a negative zero either: -0 and +0 compare
+// equal in a diff but encode differently on the wire and in exports.
 func TestChurnDeltasByteIdenticalAcrossReplays(t *testing.T) {
 	const replays, steps = 6, 40
-	var first [][]byte
+	var first churnReplay
 	for r := 0; r < replays; r++ {
-		got := replayChurnDeltas(t, 20, steps)
+		got := replayChurn(t, 20, steps)
 		if r == 0 {
 			first = got
 			continue
 		}
-		for step := range got {
-			if !bytes.Equal(got[step], first[step]) {
+		for step := range got.deltas {
+			if !bytes.Equal(got.deltas[step], first.deltas[step]) {
 				t.Fatalf("replay %d step %d: %d encoded delta bytes, replay 0 had %d (not byte-identical)",
-					r, step, len(got[step]), len(first[step]))
+					r, step, len(got.deltas[step]), len(first.deltas[step]))
+			}
+			if !bytes.Equal(got.exports[step], first.exports[step]) {
+				t.Fatalf("replay %d step %d: %d exported config bytes, replay 0 had %d (not byte-identical)",
+					r, step, len(got.exports[step]), len(first.exports[step]))
 			}
 		}
 	}
 }
 
-// replayChurnDeltas runs a seeded churn sequence through the incremental
-// pipeline and returns each step's deltas, encoded as wire envelopes in
-// node order.
-func replayChurnDeltas(t *testing.T, seed int64, steps int) [][]byte {
+// churnReplay is one replay's per-step output: the deltas, encoded as
+// wire envelopes in node order, and the plan's configuration export.
+type churnReplay struct {
+	deltas, exports [][]byte
+}
+
+// replayChurn runs a seeded churn sequence through the incremental
+// pipeline and records each step's deltas and export, failing on any
+// exported weight that is a negative zero.
+func replayChurn(t *testing.T, seed int64, steps int) churnReplay {
 	t.Helper()
 	bed, err := NewBed(Config{Topology: "campus", Seed: seed, PoliciesPerClass: 3})
 	if err != nil {
@@ -54,8 +67,8 @@ func replayChurnDeltas(t *testing.T, seed int64, steps int) [][]byte {
 		t.Fatal(err)
 	}
 	down := make(map[topo.NodeID]bool)
-	out := make([][]byte, steps)
-	for step := range out {
+	out := churnReplay{deltas: make([][]byte, steps), exports: make([][]byte, steps)}
+	for step := 0; step < steps; step++ {
 		if err := churnMutate(bed, ctl, pipe, rng, down, &demands, target); err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +85,28 @@ func replayChurnDeltas(t *testing.T, seed int64, steps int) [][]byte {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[step] = append(out[step], buf...)
+			out.deltas[step] = append(out.deltas[step], buf...)
 		}
+		nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		export := ctl.ExportConfig(nodes)
+		for _, n := range export.Nodes {
+			for _, w := range n.Weights {
+				for i, v := range w.Weights {
+					if v == 0 && math.Signbit(v) {
+						t.Fatalf("step %d: node %s policy %d %s weight[%d] is -0",
+							step, n.Name, w.PolicyID, w.Func, i)
+					}
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := export.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out.exports[step] = buf.Bytes()
 	}
 	return out
 }

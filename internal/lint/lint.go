@@ -11,7 +11,7 @@
 // (taint.go) — that interprocedural analyzers plug into. DESIGN.md §9
 // documents the architecture and the contract for adding analyzers.
 //
-// Six analyzers ship with it:
+// Seven analyzers ship with it:
 //
 //   - simdeterminism flags wall-clock reads (time.Now, time.Since) and
 //     global math/rand calls in the simulation packages, where time must
@@ -34,7 +34,11 @@
 //     (no reachable return, no ctx/done/closed-channel read);
 //   - boundedlabels flags metrics label values derived from raw
 //     packet/flow fields, whose unbounded cardinality would explode the
-//     registry (labels must come from compile-time-bounded sets).
+//     registry (labels must come from compile-time-bounded sets);
+//   - floatmapsum flags float accumulation inside a range over a map in
+//     the control-plane packages (controller, lp, verify), where map
+//     iteration order would leak into the last bits of plans and LP
+//     inputs.
 //
 // A finding can be suppressed with a line comment on the offending line
 // or the line above it:
@@ -99,7 +103,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism, LockedBlocking, ConnCheck,
-		WireTaint, GoroutineLeak, BoundedLabels,
+		WireTaint, GoroutineLeak, BoundedLabels, FloatMapSum,
 	}
 }
 

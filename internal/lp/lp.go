@@ -1,8 +1,8 @@
 // Package lp is a self-contained linear-programming solver (two-phase
-// primal simplex on a dense tableau) used by the controller to solve the
-// paper's load-balancing optimizations, Eq. (1) and Eq. (2). The module is
-// stdlib-only by project constraint, so the solver is written here rather
-// than imported.
+// primal simplex on a row-major tableau) used by the controller to solve
+// the paper's load-balancing optimizations, Eq. (1) and Eq. (2). The
+// module is stdlib-only by project constraint, so the solver is written
+// here rather than imported.
 //
 // Problems are stated as
 //
@@ -13,11 +13,22 @@
 // which is exactly the shape of the paper's formulations (all decision
 // variables t(...) are non-negative traffic volumes).
 //
-// The implementation favors clarity and numerical robustness over raw
-// speed: Dantzig pricing with a Bland's-rule fallback against cycling,
-// explicit tolerance handling, and artificial-variable cleanup between
-// phases. Controller-built instances (after the exact reductions
-// described in DESIGN.md) stay small enough for a dense tableau.
+// Pricing is Dantzig's rule with a Bland's-rule fallback against
+// cycling, with explicit tolerances and artificial-variable cleanup
+// between phases. The tableau has one row per constraint plus the
+// objective row; its columns are the structural variables, one slack or
+// surplus per inequality, one artificial per row that needs one (Eq and
+// Ge rows after rows with a negative rhs are negated), then the rhs.
+//
+// A pivot scales the pivot row, collects its non-zero columns once and
+// updates every other row only at those columns; on the controller's
+// programs most of a pivot row is zero. Phase two never prices or reads
+// an artificial column, so its pivots also leave the artificial block
+// untouched. Skipping a zero entry can change only the sign of a zero,
+// which no comparison sees, so pivot choices and values are exactly
+// those of a full-row update. Solution.X never carries a negative zero:
+// values within the tolerance below zero, -0 included, are returned as
+// +0, so weights exported or diffed downstream have one encoding.
 package lp
 
 import (
@@ -60,6 +71,20 @@ type constraint struct {
 	terms []Term
 	op    Op
 	rhs   float64
+}
+
+// normalizedOp is the constraint's relation once a negative rhs has
+// been negated to make it non-negative.
+func (c constraint) normalizedOp() Op {
+	if c.rhs < 0 {
+		switch c.op {
+		case Le:
+			return Ge
+		case Ge:
+			return Le
+		}
+	}
+	return c.op
 }
 
 // Problem is a linear program under construction. Create with NewProblem,
@@ -151,15 +176,19 @@ var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 
 const eps = 1e-9
 
-// tableau is the dense simplex working state. Row layout: one row per
+// tableau is the simplex working state. Row layout: one row per
 // constraint then the objective row. Column layout: structural variables,
 // slack/surplus variables, artificial variables, then the RHS column.
 type tableau struct {
 	rows, cols int // excludes objective row / rhs col in naming below
 	a          [][]float64
 	basis      []int // basis[r] = column basic in row r
-	nArt       int
 	artStart   int
+	// live bounds the non-rhs columns a pivot updates: every column in
+	// phase one, [0, artStart) once the artificials are dead.
+	live int
+	// nz is scratch for the pivot row's non-zero columns.
+	nz         []int
 	iterations int
 }
 
@@ -168,25 +197,28 @@ func (p *Problem) Solve() (*Solution, error) {
 	n := len(p.names)
 	m := len(p.constraints)
 
-	// Count extra columns.
-	nSlack := 0
+	// Count extra columns: a slack or surplus per inequality, and an
+	// artificial per row whose canonical form lacks an obvious basic
+	// column (Eq and Ge rows once a negative rhs has flipped Le and Ge).
+	nSlack, nArt := 0, 0
 	for _, c := range p.constraints {
 		if c.op != Eq {
 			nSlack++
 		}
+		if c.normalizedOp() != Le {
+			nArt++
+		}
 	}
-	// Artificial variables: one per row whose canonical form lacks an
-	// obvious basic column (Eq and Ge rows, and Le rows with negative rhs
-	// after normalization). We allocate pessimistically one per row and
-	// use only what we need.
 	slackStart := n
 	artStart := n + nSlack
-	cols := artStart + m // upper bound on artificials
+	cols := artStart + nArt
 	t := &tableau{
 		rows:     m,
 		cols:     cols,
 		artStart: artStart,
+		live:     cols,
 		basis:    make([]int, m),
+		nz:       make([]int, 0, cols+1),
 	}
 	t.a = make([][]float64, m+1)
 	for i := range t.a {
@@ -201,20 +233,12 @@ func (p *Problem) Solve() (*Solution, error) {
 			row[term.Var] += term.Coef
 		}
 		row[cols] = c.rhs
-		op := c.op
-		// Normalize to non-negative rhs.
-		if row[cols] < 0 {
+		if c.rhs < 0 {
 			for j := range row {
 				row[j] = -row[j]
 			}
-			switch op {
-			case Le:
-				op = Ge
-			case Ge:
-				op = Le
-			}
 		}
-		switch op {
+		switch c.normalizedOp() {
 		case Le:
 			row[slackIdx] = 1
 			t.basis[i] = slackIdx
@@ -231,15 +255,11 @@ func (p *Problem) Solve() (*Solution, error) {
 			artIdx++
 		}
 	}
-	t.nArt = artIdx - artStart
 
 	// Phase 1: minimize the sum of artificial variables.
-	if t.nArt > 0 {
+	if nArt > 0 {
 		obj := t.a[m]
-		for j := range obj {
-			obj[j] = 0
-		}
-		for j := artStart; j < artIdx; j++ {
+		for j := artStart; j < cols; j++ {
 			obj[j] = 1
 		}
 		// Price out the basic artificial columns.
@@ -250,30 +270,30 @@ func (p *Problem) Solve() (*Solution, error) {
 				}
 			}
 		}
-		if err := t.iterate(artIdx); err != nil {
+		if err := t.iterate(cols); err != nil {
 			return nil, err
 		}
 		if phase1 := -t.a[m][cols]; phase1 > 1e-7 {
 			return &Solution{Status: Infeasible, Iterations: t.iterations}, nil
 		}
+		// From here on nothing prices or reads an artificial column.
+		t.live = artStart
 		t.evictArtificials()
 	}
 
 	// Phase 2: original objective over non-artificial columns.
 	obj := t.a[m]
-	for j := range obj {
-		obj[j] = 0
-	}
-	for j := 0; j < n; j++ {
-		obj[j] = p.objective[j]
-	}
+	clear(obj)
+	copy(obj, p.objective)
 	for i := 0; i < m; i++ {
 		b := t.basis[i]
 		if b < artStart && obj[b] != 0 {
 			coef := obj[b]
-			for j := 0; j <= cols; j++ {
-				obj[j] -= coef * t.a[i][j]
+			row := t.a[i]
+			for j := 0; j < artStart; j++ {
+				obj[j] -= coef * row[j]
 			}
+			obj[cols] -= coef * row[cols]
 		}
 	}
 	if err := t.iterate(artStart); err != nil {
@@ -289,12 +309,16 @@ func (p *Problem) Solve() (*Solution, error) {
 		X:          make([]float64, n),
 		Iterations: t.iterations,
 	}
+	if sol.Objective == 0 {
+		sol.Objective = 0 // +0, never -0
+	}
 	for i := 0; i < m; i++ {
 		if b := t.basis[i]; b < n {
-			sol.X[b] = t.a[i][cols]
-			if sol.X[b] < 0 && sol.X[b] > -eps {
-				sol.X[b] = 0
+			x := t.a[i][cols]
+			if x <= 0 && x > -eps {
+				x = 0 // also turns -0 into +0
 			}
+			sol.X[b] = x
 		}
 	}
 	return sol, nil
@@ -360,26 +384,34 @@ func (t *tableau) iterate(colLimit int) error {
 	}
 }
 
-// pivot makes column enter basic in row leave.
+// pivot makes column enter basic in row leave. Only the pivot row's
+// non-zero columns below t.live, plus the rhs, can change in another
+// row, so the row updates visit just those.
 func (t *tableau) pivot(leave, enter int) {
-	m := t.rows
 	prow := t.a[leave]
-	pval := prow[enter]
-	inv := 1 / pval
-	for j := 0; j <= t.cols; j++ {
-		prow[j] *= inv
+	inv := 1 / prow[enter]
+	nz := t.nz[:0]
+	for j, v := range prow[:t.live] {
+		if v != 0 {
+			prow[j] = v * inv
+			nz = append(nz, j)
+		}
+	}
+	if v := prow[t.cols]; v != 0 {
+		prow[t.cols] = v * inv
+		nz = append(nz, t.cols)
 	}
 	prow[enter] = 1 // exact
-	for i := 0; i <= m; i++ {
+	t.nz = nz
+	for i, row := range t.a {
 		if i == leave {
 			continue
 		}
-		row := t.a[i]
 		f := row[enter]
 		if f == 0 {
 			continue
 		}
-		for j := 0; j <= t.cols; j++ {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[enter] = 0 // exact

@@ -75,6 +75,30 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	}
 }
 
+// TestSolveNeverReturnsNegativeZero feeds -0 right-hand sides, as the
+// controller does when it writes -base[x] for a zero base load: every
+// returned value must be +0, never -0, so exports and diffs see one
+// encoding of zero.
+func TestSolveNeverReturnsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	p := NewProblem()
+	x, y, z := p.AddVar("x"), p.AddVar("y"), p.AddVar("z")
+	p.SetObjective(y, 1)
+	p.AddConstraint(Eq, negZero, Term{x, 1})
+	p.AddConstraint(Le, negZero, Term{y, 1}, Term{z, -1})
+	p.AddConstraint(Ge, negZero, Term{z, 1}, Term{x, -1})
+	p.AddConstraint(Le, 2, Term{x, 1}, Term{y, 1}, Term{z, 1})
+	sol := solveOK(t, p)
+	for v, val := range sol.X {
+		if val != 0 || math.Signbit(val) {
+			t.Errorf("X[%d] = %v (signbit %v), want +0", v, val, math.Signbit(val))
+		}
+	}
+	if math.Signbit(sol.Objective) {
+		t.Errorf("objective = %v, want +0", sol.Objective)
+	}
+}
+
 func TestInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x")
